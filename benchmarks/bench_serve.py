@@ -68,7 +68,12 @@ def _grid_spec(seed: int) -> JobSpec:
 
 
 class _Server:
-    """A ServeApp on a private event-loop thread."""
+    """A ServeApp on a private event-loop thread.
+
+    A start-up failure is re-raised from ``__enter__`` as soon as it
+    happens; leaving the block drains the app, so the shard processes
+    are joined before ``__exit__`` returns.
+    """
 
     def __init__(self, workers: int, root: Path):
         self.app = ServeApp(shards=workers,
@@ -77,14 +82,20 @@ class _Server:
                             registry=obs.Obs())
         self.loop = asyncio.new_event_loop()
         self._ready = threading.Event()
+        self._startup_error = None
         self._thread = threading.Thread(target=self._run, daemon=True)
 
     def _run(self) -> None:
         asyncio.set_event_loop(self.loop)
 
         async def go():
-            await self.app.start()
-            self._ready.set()
+            try:
+                await self.app.start()
+            except BaseException as exc:    # re-raised by __enter__
+                self._startup_error = exc
+                return
+            finally:
+                self._ready.set()
             await self.app.serve_forever()
 
         try:
@@ -96,11 +107,14 @@ class _Server:
         self._thread.start()
         if not self._ready.wait(timeout=300):
             raise RuntimeError("server failed to start")
+        if self._startup_error is not None:
+            self._thread.join(timeout=30)
+            raise self._startup_error
         return self
 
     def __exit__(self, *exc) -> None:
         asyncio.run_coroutine_threadsafe(
-            self.app.stop(), self.loop).result(timeout=60)
+            self.app.drain(), self.loop).result(timeout=120)
         self._thread.join(timeout=30)
 
     @property

@@ -2,17 +2,12 @@
 """Trace-driven workflow: capture once, explore many times.
 
 Design-space sweeps re-analyse the same execution over and over; this
-example captures a kernel's trace once, reloads it, and shows that
-every study reproduces bit-for-bit from the file — the same decoupling
-GPGPU-Sim users get from PTX trace files.  Two persistence layers are
-shown:
-
-* ``repro.sim.trace_io`` — a single compressed ``.npz`` archive, good
-  for shipping one trace around;
-* ``repro.sim.trace_store`` — the content-addressed store behind
-  ``st2-run --trace-store``: raw per-column ``.npy`` files opened as
-  read-only memory maps, so any number of processes share one copy via
-  the OS page cache.
+example captures a kernel's trace once into the content-addressed
+trace store behind ``st2-run --trace-store`` and shows that every study
+reproduces bit-for-bit from it — the same decoupling GPGPU-Sim users
+get from PTX trace files.  Store entries are raw per-column ``.npy``
+files opened as read-only memory maps, so any number of processes share
+one copy via the OS page cache.
 
 Run:  python examples/trace_workflow.py
 """
@@ -24,8 +19,7 @@ from pathlib import Path
 from repro.core.predictors import run_speculation
 from repro.core.speculation import DESIGN_LADDER, ST2_DESIGN
 from repro.kernels.suite import spec_by_name
-from repro.sim.trace_io import load_trace, save_kernel_run
-from repro.sim.trace_store import TraceStore, trace_key
+from repro.sim.trace_store import TraceStore
 
 
 def main() -> None:
@@ -37,44 +31,33 @@ def main() -> None:
           f"{capture_s:.2f}s")
 
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "msort_K2.npz"
-        save_kernel_run(path, run, {"scale": 1.0, "seed": 0})
-        print(f"persisted to {path.name}: "
-              f"{path.stat().st_size / 1024:.0f} kB compressed")
+        store = TraceStore(Path(tmp) / "traces")
+        key = store.put_run(run, code_version="example", scale=1.0,
+                            seed=0)
+        print(f"persisted as store entry {key[:12]}: "
+              f"{store.nbytes(key) / 1024:.0f} kB on disk")
 
         # -- reload and re-analyse ----------------------------------------
-        bundle = load_trace(path)
-        print(f"reloaded: kernel={bundle.metadata['kernel']} "
-              f"({bundle.metadata['n_static_pcs']} static PCs)")
+        stored = store.get(key)       # read-only memmaps, zero-copy
+        print(f"reloaded: kernel={stored.name} "
+              f"({stored.n_static_pcs} static PCs)")
 
         t0 = time.time()
         fresh = run_speculation(run.trace, ST2_DESIGN)
-        loaded = run_speculation(bundle.trace, ST2_DESIGN)
+        loaded = run_speculation(stored.trace, ST2_DESIGN)
         assert fresh.thread_misprediction_rate \
             == loaded.thread_misprediction_rate
-        print(f"ST2 misprediction from file: "
+        print(f"ST2 misprediction from the store: "
               f"{loaded.thread_misprediction_rate:.2%} "
               "(bit-identical to the live trace)")
 
         # a full ladder sweep costs only analysis time now
         for config in DESIGN_LADDER[:4]:
             rate = run_speculation(
-                bundle.trace, config).thread_misprediction_rate
+                stored.trace, config).thread_misprediction_rate
             print(f"  {config.name:18s} {rate:6.1%}")
-        print(f"ladder exploration from file: {time.time() - t0:.2f}s "
-              "(no re-execution)")
-
-        # -- the shared, memory-mapped store ------------------------------
-        store = TraceStore(Path(tmp) / "traces")
-        key = trace_key("msort_K2", 1.0, 0, "example")
-        store.put(key, run, code_version="example", scale=1.0, seed=0)
-        stored = store.get(key)       # read-only memmaps, zero-copy
-        mapped = run_speculation(stored.trace, ST2_DESIGN)
-        assert mapped.thread_misprediction_rate \
-            == fresh.thread_misprediction_rate
-        print(f"store entry {key[:12]}: {store.nbytes(key) / 1024:.0f} kB "
-              f"on disk, memmap analysis bit-identical "
-              f"({mapped.thread_misprediction_rate:.2%})")
+        print(f"ladder exploration from the store: "
+              f"{time.time() - t0:.2f}s (no re-execution)")
 
 
 if __name__ == "__main__":

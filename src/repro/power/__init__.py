@@ -9,6 +9,7 @@ from repro._lazy import lazy_attrs
 
 _LAZY_EXPORTS = {
     "ActivityVector": ("repro.power.activity", "ActivityVector"),
+    "CalibrationError": ("repro.power.calibration", "CalibrationError"),
     "Component": ("repro.power.components", "Component"),
     "GPUPowerModel": ("repro.power.model", "GPUPowerModel"),
     "PowerExtensions": ("repro.power.extended", "PowerExtensions"),

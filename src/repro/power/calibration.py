@@ -2,8 +2,10 @@
 
 For every micro-benchmark we know the model's raw component powers
 ``P_i`` and measure the synthetic silicon; Eq. (1) is linear in the
-unknowns ``(Scale_1..Scale_9, P_const, P_idleSM)``, so a non-negative
-least-squares solve recovers them.
+unknowns ``(Scale_1..Scale_9, P_const, P_idleSM)``, so a least-squares
+solve recovers them.  A physically meaningful fit has full rank and no
+negative coefficient; anything else raises :class:`CalibrationError`
+rather than returning a degenerate model.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from repro.power.components import Component
 from repro.power.hardware import SyntheticSilicon
@@ -19,10 +20,15 @@ from repro.power.microbench import build_microbenchmarks
 from repro.power.model import GPUPowerModel
 
 
+class CalibrationError(ValueError):
+    """The stressor set cannot determine a physical Eq. (1) fit: the
+    system is rank-deficient or a fitted coefficient is negative."""
+
+
 @dataclass
 class CalibrationResult:
     model: GPUPowerModel
-    residual_w: float           # solver residual norm
+    residual_w: float           # ||a @ x - y||, the fit's residual norm
     n_benchmarks: int
     measurements_w: np.ndarray
     predictions_w: np.ndarray
@@ -50,14 +56,22 @@ def calibrate(silicon: SyntheticSilicon = None, microbenches=None,
     a = np.array(rows)
     y = np.array(measured)
 
-    solution, residual = nnls(a, y)
+    solution, _, rank, _ = np.linalg.lstsq(a, y, rcond=None)
+    if rank < a.shape[1]:
+        raise CalibrationError(
+            f"{len(microbenches)} stressors determine only {rank} of the "
+            f"{a.shape[1]} Eq. (1) coefficients")
+    if (solution < 0).any():
+        raise CalibrationError(
+            f"negative fitted coefficient(s): {solution[solution < 0]}")
     scales = {c: float(s) for c, s in zip(components, solution)}
     model = GPUPowerModel(scales=scales,
                           p_const_w=float(solution[-2]),
                           p_idle_sm_w=float(solution[-1]),
                           energies_pj=dict(base.energies_pj))
     predictions = a @ solution
-    return CalibrationResult(model=model, residual_w=float(residual),
+    return CalibrationResult(model=model,
+                             residual_w=float(np.linalg.norm(predictions - y)),
                              n_benchmarks=len(microbenches),
                              measurements_w=y, predictions_w=predictions)
 

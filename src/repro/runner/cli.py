@@ -22,13 +22,14 @@ Exit codes follow the shared contract (:mod:`repro.cli_common`):
 from __future__ import annotations
 
 import sys
+import time
 
 from repro import cli_common, obs
 from repro.kernels.suite import KERNEL_GROUPS, resolve_kernels
 from repro.runner.cache import code_version
 from repro.runner.manifest import write_manifest
 from repro.runner.options import RunOptions
-from repro.runner.pool import RunTimer, run_units
+from repro.runner.pool import run_units
 from repro.runner.units import ENGINES, build_units, resolve_configs
 
 
@@ -146,13 +147,14 @@ def main(argv=None) -> int:
                       f"seed={spec.seed}")
         return cli_common.EXIT_OK
 
-    timer = RunTimer()
+    t0 = time.perf_counter()
     quiet = args.quiet or args.json
     options = RunOptions.from_args(
-        args, progress=_progress_printer(len(units), quiet),
-        timer=timer)
+        args, progress=_progress_printer(len(units), quiet))
 
     results = run_units(units, options)
+    wall_time_s = time.perf_counter() - t0
+    hits = sum(1 for result in results if result.cached)
 
     meta = {
         "kernels": list(kernels),
@@ -168,7 +170,8 @@ def main(argv=None) -> int:
     if options.trace_store is not None:
         meta["trace_store"] = str(options.trace_store.root)
     meta.update(options.stats)
-    meta.update(timer.summary())
+    meta.update(wall_time_s=wall_time_s, cache_hits=hits,
+                cache_misses=len(results) - hits)
     path = write_manifest(args.out, results, meta=meta)
     metrics_path = obs.write_metrics(obs.metrics_path_for(path),
                                      options.obs.snapshot(), meta=meta)
@@ -184,8 +187,8 @@ def main(argv=None) -> int:
 
     print()
     print(_summary_table(results))
-    print(f"\n{len(results)} units in {timer.elapsed_s:.2f}s "
-          f"({timer.hits} cache hits, {timer.misses} computed, "
+    print(f"\n{len(results)} units in {wall_time_s:.2f}s "
+          f"({hits} cache hits, {len(results) - hits} computed, "
           f"workers={options.workers})")
     if options.trace_store is not None and \
             "traces_total" in options.stats:

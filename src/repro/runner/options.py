@@ -42,7 +42,6 @@ class RunOptions:
     cache: ResultCache = None
     use_cache: bool = True
     progress: object = None         # callable(spec, result) or None
-    timer: object = None            # RunTimer-like .observe(spec, result)
     trace_store: object = None      # TraceStore or None (single-stage)
     stats: dict = field(default_factory=dict)
     obs: object = None              # repro.obs.Obs or None (fresh)
@@ -58,14 +57,12 @@ class RunOptions:
         return self.cache if self.cache is not None else ResultCache()
 
     def notify(self, spec, result) -> None:
-        """Invoke the timer and progress hooks for one finished unit."""
-        if self.timer is not None:
-            self.timer.observe(spec, result)
+        """Invoke the progress hook for one finished unit."""
         if self.progress is not None:
             self.progress(spec, result)
 
     @classmethod
-    def from_args(cls, args, progress=None, timer=None) -> "RunOptions":
+    def from_args(cls, args, progress=None) -> "RunOptions":
         """Build options from ``st2-run`` parsed arguments.
 
         Understands ``--workers``, ``--cache-dir``, ``--no-cache``,
@@ -85,5 +82,5 @@ class RunOptions:
             store = TraceStore(spec or None)
         return cls(workers=workers, cache=cache,
                    use_cache=not getattr(args, "no_cache", False),
-                   progress=progress, timer=timer, trace_store=store,
+                   progress=progress, trace_store=store,
                    engine=getattr(args, "engine", None) or "auto")

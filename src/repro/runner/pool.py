@@ -310,26 +310,3 @@ def run_suite_units(specs, options: RunOptions = None) -> dict:
     results = run_units(specs, options=options)
     return {(spec.kernel, spec.config.name): result
             for spec, result in zip(specs, results)}
-
-
-class RunTimer:
-    """Wall-clock + hit/miss accounting for one runner invocation."""
-
-    def __init__(self):
-        self.t0 = time.perf_counter()
-        self.hits = 0
-        self.misses = 0
-
-    def observe(self, spec, result) -> None:
-        if getattr(result, "cached", False):
-            self.hits += 1
-        else:
-            self.misses += 1
-
-    @property
-    def elapsed_s(self) -> float:
-        return time.perf_counter() - self.t0
-
-    def summary(self) -> dict:
-        return {"wall_time_s": self.elapsed_s,
-                "cache_hits": self.hits, "cache_misses": self.misses}

@@ -26,7 +26,7 @@ from repro import obs
 from repro.core.predictors import SpeculationConfig
 from repro.core.speculation import ST2_DESIGN
 from repro.kernels import suite as kernel_suite
-from repro.sim.trace_io import trace_nbytes
+from repro.sim.trace_store import trace_nbytes
 from repro.st2.results import RunResult
 
 #: Bump when the shape of the result dict changes; part of the cache key.

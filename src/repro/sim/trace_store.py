@@ -48,11 +48,16 @@ from repro import obs
 from repro.sim.config import LaunchConfig
 from repro.sim.memory import MemoryStats
 from repro.sim.trace import AddTrace, InstStream
-from repro.sim.trace_io import _ADD_COLUMNS, _INST_COLUMNS
 
 STORE_FORMAT_VERSION = 1
 
 ENV_STORE_DIR = "REPRO_TRACE_DIR"
+
+#: The persisted columns: one ``add_<col>.npy`` per AddTrace column and
+#: one ``inst_<col>.npy`` per InstStream column.
+_ADD_COLUMNS = ("pc", "gtid", "ltid", "warp", "sm", "block", "seq",
+                "op_a", "op_b", "cin", "width", "opcode", "value")
+_INST_COLUMNS = ("seq", "block", "warp", "sm", "opcode", "active")
 
 #: MemoryStats counters persisted per entry (the fields the power and
 #: timing models read; address batches are a debugging aid and are not
@@ -100,6 +105,13 @@ def trace_key(kernel: str, scale: float, seed: int,
     }
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:40]
+
+
+def trace_nbytes(trace: AddTrace, insts: InstStream) -> int:
+    """In-memory footprint of a trace and its instruction stream: the
+    runner's per-unit trace-size metric."""
+    return sum(getattr(trace, c).nbytes for c in _ADD_COLUMNS) \
+        + sum(getattr(insts, c).nbytes for c in _INST_COLUMNS)
 
 
 def _array_digest(arr: np.ndarray) -> str:

@@ -89,12 +89,11 @@ class TestRunOptionsOnly:
             assert results_equal(s, a)
 
     def test_timer_hook_counts(self, tmp_path, serial_results):
-        from repro.runner.pool import RunTimer
+        """Hit/miss accounting comes from the results' ``cached``
+        flags: a cold pass computes every unit, a warm one hits all."""
         units, _ = serial_results
-        timer = RunTimer()
-        opts = RunOptions(workers=1, cache=ResultCache(tmp_path),
-                          timer=timer)
-        run_units(units, opts)
-        run_units(units, opts)
-        assert timer.misses == len(units)
-        assert timer.hits == len(units)
+        opts = RunOptions(workers=1, cache=ResultCache(tmp_path))
+        cold = run_units(units, opts)
+        warm = run_units(units, opts)
+        assert sum(not r.cached for r in cold) == len(units)
+        assert sum(r.cached for r in warm) == len(units)

@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 from repro.kernels.suite import KERNEL_NAMES, run_suite
-from repro.sim.trace_io import _ADD_COLUMNS, _INST_COLUMNS
-from repro.sim.trace_store import (StoredRun, TraceStore, default_store_dir,
-                                   trace_key)
+from repro.sim.trace_store import (_ADD_COLUMNS, _INST_COLUMNS, StoredRun,
+                                   TraceStore, default_store_dir, trace_key)
 
 SCALE = 0.12
 

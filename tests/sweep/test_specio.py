@@ -1,31 +1,26 @@
-"""Spec file loading: the mini-YAML subset, JSON, format detection
-and error surfaces.  The mini-YAML parser is exercised directly (it is
-the fallback when PyYAML is absent) — both parsers must agree on the
-example document."""
+"""Spec file loading: YAML (through PyYAML) and JSON, format
+detection and error surfaces."""
+
+import sys
 
 import pytest
 
 from repro.sweep.specio import (EXAMPLE_WIRE, SpecIOError,
                                 detect_format, example_spec,
-                                example_text, load_spec, mini_yaml,
-                                parse_text, spec_from_doc)
+                                example_text, load_spec, parse_text,
+                                spec_from_doc)
 
 
-class TestMiniYaml:
+def yaml_doc(text):
+    return parse_text(text, "yaml")
+
+
+class TestYaml:
     def test_example_round_trips(self):
-        doc = mini_yaml(example_text("yaml"))
-        assert doc == EXAMPLE_WIRE
-
-    def test_agrees_with_pyyaml_when_available(self):
-        try:
-            import yaml
-        except ImportError:
-            pytest.skip("PyYAML not installed")
-        text = example_text("yaml")
-        assert yaml.safe_load(text) == mini_yaml(text)
+        assert yaml_doc(example_text("yaml")) == EXAMPLE_WIRE
 
     def test_block_lists_and_nesting(self):
-        doc = mini_yaml(
+        doc = yaml_doc(
             "name: deep\n"
             "kernels:\n"
             "  - qrng_K2\n"
@@ -40,28 +35,36 @@ class TestMiniYaml:
         assert doc["axes"]["pc_bits"] == [0, 4]
 
     def test_scalar_coercion_and_quotes(self):
-        doc = mini_yaml(
+        """``none`` is a pc_index axis value and must stay a string."""
+        doc = yaml_doc(
             "a: 1.5\nb: -3\nc: true\nd: null\n"
-            "e: 'quoted: text'\nf: \"false\"\ng: plain\n")
+            "e: 'quoted: text'\nf: \"false\"\ng: plain\nh: none\n")
         assert doc == {"a": 1.5, "b": -3, "c": True, "d": None,
                        "e": "quoted: text", "f": "false",
-                       "g": "plain"}
+                       "g": "plain", "h": "none"}
 
     def test_comments_stripped_outside_quotes(self):
-        doc = mini_yaml("a: 5   # trailing\n# full line\nb: '#keep'\n")
+        doc = yaml_doc("a: 5   # trailing\n# full line\nb: '#keep'\n")
         assert doc == {"a": 5, "b": "#keep"}
 
     def test_tabs_rejected(self):
-        with pytest.raises(SpecIOError, match="tab"):
-            mini_yaml("a:\n\tb: 1\n")
+        with pytest.raises(SpecIOError, match="invalid YAML"):
+            yaml_doc("a:\n\tb: 1\n")
 
     def test_inconsistent_indent_rejected(self):
-        with pytest.raises(SpecIOError):
-            mini_yaml("a:\n    b: 1\n  c: 2\n")
+        with pytest.raises(SpecIOError, match="invalid YAML"):
+            yaml_doc("a:\n    b: 1\n  c: 2\n")
 
-    def test_empty_document(self):
-        assert mini_yaml("") == {}
-        assert mini_yaml("# only comments\n") == {}
+    def test_empty_document(self, tmp_path):
+        path = tmp_path / "empty.yaml"
+        path.write_text("# only comments\n")
+        with pytest.raises(SpecIOError, match="mapping"):
+            load_spec(path)
+
+    def test_missing_pyyaml_names_the_fix(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "yaml", None)
+        with pytest.raises(SpecIOError, match="PyYAML.*json"):
+            yaml_doc("a: 1\n")
 
 
 class TestLoading:
