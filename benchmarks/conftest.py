@@ -6,8 +6,9 @@ characterisation are session-scoped: they are exactly the shared inputs
 the paper's experiments reuse.
 
 ``REPRO_BENCH_SCALE`` (default 1.0) scales workload sizes; the rendered
-figures and measured-vs-paper records are written to
-``benchmarks/out/``.
+figures and measured-vs-paper records are written to the tracked
+``benchmarks/out/`` at scale 1.0 and to the git-ignored
+``benchmarks/out/scale-<s>/`` at any other scale.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ import os
 from pathlib import Path
 
 import pytest
+from _bench_utils import artifact_dir_for
 
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
-OUT_DIR = Path(__file__).parent / "out"
 
 
 @pytest.fixture(scope="session")
@@ -82,10 +83,4 @@ def runner_results() -> dict:
 
 @pytest.fixture(scope="session")
 def artifact_dir() -> Path:
-    OUT_DIR.mkdir(exist_ok=True)
-    return OUT_DIR
-
-
-def save_artifact(artifact_dir: Path, name: str, text: str) -> None:
-    (artifact_dir / name).write_text(text + "\n")
-    print("\n" + text)
+    return artifact_dir_for(BENCH_SCALE)

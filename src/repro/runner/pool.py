@@ -6,14 +6,22 @@ a ``multiprocessing`` pool (``workers > 1``) or run them inline
 (``workers <= 1`` — same code path as a pool worker, which is what the
 parallel-equals-serial guarantee rests on).
 
+Evaluation is **trace-major**: the misses are grouped by trace identity
+(kernel, scale, seed) and one task per trace goes to the pool.  Inside
+a task, :func:`_run_trace` runs each of the trace's configs through
+:func:`~repro.runner.units.execute_unit` in work-list order; the first
+``aux`` unit computes the config-independent aux metrics (VaLHALLA
+rate, Figure 3 correlation) and the others reuse them, so a
+23-kernel × 12-config ladder pays 23 aux passes, not 276.
+
 Two-stage mode (``options.trace_store`` set): the pending work is
 split along the paper's own decoupling.  **Stage 1** fans out over the
 *distinct* (kernel, scale, seed) keys behind the pending units and
 populates the trace store, skipping entries that are already warm — so
 an 18-kernel × 6-config grid executes each kernel functionally once,
-not once per config per worker.  **Stage 2** fans out over the
-(trace × config) evaluation units; every worker opens the stored trace
-read-only via ``mmap``, sharing the OS page cache.
+not once per config per worker.  **Stage 2** fans out over the same
+trace groups as single-stage evaluation; every worker opens the stored
+trace read-only via ``mmap``, sharing the OS page cache.
 
 Results always come back in work-list order; the parent alone writes
 result-cache entries.  Trace-store entries are published by workers
@@ -74,18 +82,42 @@ def _init_worker(store_root=None, need_models: bool = True) -> None:
         _WORKER_STORE = None
 
 
-def _run_one(item) -> tuple:
-    """Stage-2 / single-stage work item: one unit, end to end, under a
-    fresh obs scope whose snapshot travels home with the result (as the
-    transient ``"obs"`` key — popped and merged by the parent)."""
-    index, spec, store_key, engine = item
-    with obs.scoped() as reg:
-        with reg.span("runner.unit"):
-            result = execute_unit(spec, models=_WORKER_MODELS,
-                                  store=_WORKER_STORE,
-                                  store_key=store_key, engine=engine)
-    result.data["obs"] = reg.snapshot()
-    return index, result
+def _run_trace(group) -> list:
+    """The one evaluation work item (offline stage 2 and served units
+    alike): every ``(index, spec, store_key, engine)`` unit of one
+    trace, in order.  Returns ``[(index, result), ...]``.
+
+    Each unit runs end to end through :func:`execute_unit` under a
+    fresh obs scope whose snapshot travels home with its result (as
+    the transient ``"obs"`` key — popped and merged by the parent).
+    The first ``aux`` unit computes the trace's aux metrics; the later
+    ones are handed that dict instead of recomputing it."""
+    out = []
+    aux = None
+    for index, spec, store_key, engine in group:
+        with obs.scoped() as reg:
+            with reg.span("runner.unit"):
+                result = execute_unit(spec, models=_WORKER_MODELS,
+                                      store=_WORKER_STORE,
+                                      store_key=store_key, engine=engine,
+                                      aux=aux)
+        if spec.aux and aux is None:
+            aux = result.data["aux"]
+        result.data["obs"] = reg.snapshot()
+        out.append((index, result))
+    return out
+
+
+def _trace_groups(items) -> list:
+    """Split evaluation items into per-trace groups keyed by
+    (kernel, scale, seed), in order of first appearance; each group
+    keeps its units in work-list order."""
+    groups = {}
+    for item in items:
+        spec = item[1]
+        groups.setdefault((spec.kernel, spec.scale, spec.seed),
+                          []).append(item)
+    return list(groups.values())
 
 
 def _capture_one(item) -> tuple:
@@ -118,18 +150,17 @@ def _pool_context():
 
 
 def _map_parallel(fn, items, workers, store_root=None,
-                  need_models: bool = True, chunksize: int = 1):
+                  need_models: bool = True):
     """Run ``fn`` over ``items`` inline or across a pool, yielding
-    results unordered.  The inline path goes through the same worker
-    entry points, which is what the parallel-equals-serial guarantee
-    rests on.
+    results unordered, one task per item.  The inline path goes
+    through the same worker entry points, which is what the
+    parallel-equals-serial guarantee rests on.
 
-    ``chunksize`` trades scheduling granularity for locality: the
-    evaluation stage passes 2 on large work lists so that adjacent
-    units — the work list is kernel-major, so usually two configs of
-    the same trace — land on the same worker and share its warm
-    trace-store handle and evaluation plan.  Results and metrics are
-    scheduling-independent either way.
+    The items are already the locality unit — a trace to capture
+    (stage 1) or a trace with all its configs (:func:`_run_trace`) —
+    so there is no chunking: a trace's plans and store handle stay on
+    one worker by construction, and results and metrics are
+    scheduling-independent.
     """
     if not items:
         return
@@ -138,7 +169,7 @@ def _map_parallel(fn, items, workers, store_root=None,
         with ctx.Pool(min(workers, len(items)),
                       initializer=_init_worker,
                       initargs=(store_root, need_models)) as pool:
-            yield from pool.imap_unordered(fn, items, chunksize)
+            yield from pool.imap_unordered(fn, items)
     else:
         _init_worker(store_root, need_models=need_models)
         for item in items:
@@ -229,12 +260,12 @@ def run_units(specs, options: RunOptions = None) -> list:
             if options.engine == "vec" \
                     and len(items) <= VEC_INLINE_MAX_UNITS:
                 workers = 1
-            chunk = 2 if len(items) >= 4 * max(workers, 1) else 1
             with reg.span("runner.stage.eval"):
-                for i, result in _map_parallel(_run_one, items,
-                                               workers, store_root,
-                                               chunksize=chunk):
-                    finish(i, result)
+                for done in _map_parallel(_run_trace,
+                                          _trace_groups(items),
+                                          workers, store_root):
+                    for i, result in done:
+                        finish(i, result)
         stats["stage_eval_s"] = time.perf_counter() - t0
         stats.pop("warm_keys", None)
     return results

@@ -15,6 +15,7 @@ dict that the disk cache and the JSONL manifest both store.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import time
@@ -325,7 +326,8 @@ def _resolve_engine(engine: str, run, plan_key=None) -> str:
 
 def execute_unit(spec: UnitSpec, models: ModelBundle = None,
                  use_mem_cache: bool = True, store=None,
-                 store_key: str = None, engine: str = "auto") -> RunResult:
+                 store_key: str = None, engine: str = "auto",
+                 aux: dict = None) -> RunResult:
     """Run one unit end to end; returns its typed
     :class:`~repro.st2.results.RunResult`.
 
@@ -343,6 +345,14 @@ def execute_unit(spec: UnitSpec, models: ModelBundle = None,
     the result's ``engine`` field records which one actually ran.
     Both engines produce bit-identical payloads and obs counters, so
     the choice never changes the numbers — only the wall time.
+
+    ``aux`` is the runner's internal hand-off for trace-major
+    evaluation: the aux metrics (VaLHALLA rate, Figure 3 correlation)
+    an earlier unit of the *same trace* already computed.  They do not
+    depend on the config, so an ``aux=True`` unit given them attaches
+    a copy instead of recomputing (counted as ``runner.aux.reused``);
+    without them it computes aux under the ``runner.unit.aux`` timer
+    (counted as ``runner.aux.computed``), inside ``eval_time_s``.
     """
     from repro.lint.facts import facts_for_kernel
 
@@ -375,7 +385,13 @@ def execute_unit(spec: UnitSpec, models: ModelBundle = None,
         "energy_stacks": payload["energy_stacks"],
     }
     if spec.aux:
-        result["aux"] = _aux_metrics(run)
+        if aux is None:
+            with obs.timer("runner.unit.aux"):
+                result["aux"] = _aux_metrics(run)
+            obs.add("runner.aux.computed")
+        else:
+            result["aux"] = copy.deepcopy(aux)
+            obs.add("runner.aux.reused")
     result["eval_time_s"] = time.perf_counter() - t_eval
     result["wall_time_s"] = time.perf_counter() - t0
     obs.record_timer("runner.unit.capture", result["capture_time_s"])

@@ -20,8 +20,8 @@ callback into its event loop with ``call_soon_threadsafe``.
 
 Workers reuse the exact entry points of the offline runner pool
 (:func:`repro.runner.pool._init_worker` /
-:func:`repro.runner.pool._run_one`), which is what makes served
-results bit-identical to ``st2-run``'s.
+:func:`repro.runner.pool._run_trace`, called with a one-unit group),
+which is what makes served results bit-identical to ``st2-run``'s.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ def _worker_main(shard: int, task_q, result_q, store_root,
     the result dict carries the unit's obs snapshot under the
     transient ``"obs"`` key exactly like the offline pool's workers.
     """
-    from repro.runner.pool import _init_worker, _run_one
+    from repro.runner.pool import _init_worker, _run_trace
 
     _init_worker(store_root, need_models=True)
     result_q.put((None, "ready", shard))
@@ -56,7 +56,7 @@ def _worker_main(shard: int, task_q, result_q, store_root,
             break
         task_id, spec, store_key, engine = item
         try:
-            _, result = _run_one((0, spec, store_key, engine))
+            [(_, result)] = _run_trace([(0, spec, store_key, engine)])
             result_q.put((task_id, "ok", result.to_dict()))
         except Exception:
             result_q.put((task_id, "error", traceback.format_exc()))

@@ -125,11 +125,11 @@ class TestInlineDispatch:
         real = pool._map_parallel
 
         def spy(fn, items, workers, store_root=None,
-                need_models=True, chunksize=1):
-            if fn is pool._run_one:
+                need_models=True):
+            if fn is pool._run_trace:
                 seen.append(workers)
             return real(fn, items, workers, store_root,
-                        need_models=need_models, chunksize=chunksize)
+                        need_models=need_models)
 
         monkeypatch.setattr(pool, "_map_parallel", spy)
         units = build_units(KERNELS, configs=(ST2_DESIGN,),
